@@ -172,6 +172,69 @@ func BenchmarkArrayReadClean(b *testing.B) {
 	}
 }
 
+// kernelArray is one pcache bank's array shape: 32 rows at interleave
+// degree d (8 for data lines, 4 for the tag array's ways), EDC8
+// horizontal, one vertical group per row.
+func kernelArray(d int) *twod.Array {
+	a := twod.MustArray(twod.Config{
+		Rows: 32, WordsPerRow: d,
+		Horizontal: ecc.MustEDC(64, 8), VerticalGroups: 32,
+	})
+	for r := 0; r < 32; r++ {
+		for w := 0; w < d; w++ {
+			a.WriteUint64(r, w, uint64(r)<<32|uint64(w))
+		}
+	}
+	return a
+}
+
+// BenchmarkArrayReadUint64 times one clean word read: gather the
+// interleaved codeword, check its syndrome.
+func BenchmarkArrayReadUint64(b *testing.B) {
+	for _, d := range []int{4, 8} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			a := kernelArray(d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, st := a.ReadUint64(i&31, i%d); st != twod.ReadClean {
+					b.Fatal("unexpected status")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkArrayWriteUint64 times one word write: the read-before-write
+// gather and check, encode, and the delta scatter into the data row and
+// its vertical parity row.
+func BenchmarkArrayWriteUint64(b *testing.B) {
+	for _, d := range []int{4, 8} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			a := kernelArray(d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.WriteUint64(i&31, i%d, uint64(i)*0x9E3779B97F4A7C15)
+			}
+		})
+	}
+}
+
+// BenchmarkArrayRecoverClean times one clean Recover of a 32-row array:
+// the scrubber's per-array cost when nothing is wrong.
+func BenchmarkArrayRecoverClean(b *testing.B) {
+	for _, d := range []int{4, 8} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			a := kernelArray(d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep := a.Recover(); !rep.Success {
+					b.Fatal("clean recover failed")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkRecovery32x32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package pcache
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -173,45 +174,72 @@ func TestScrub(t *testing.T) {
 
 func TestRandomisedAgainstReferenceModel(t *testing.T) {
 	// Property: the protected cache, under random accesses AND random
-	// single-cell upsets, behaves exactly like a flat byte map.
-	rng := rand.New(rand.NewSource(42))
-	c, _ := smallCache(t, false)
-	ref := map[uint64]byte{}
-	const span = 64 * 256 // many lines, some conflicts
-	for i := 0; i < 4000; i++ {
-		addr := uint64(rng.Intn(span))
-		switch rng.Intn(5) {
-		case 0, 1:
-			val := byte(rng.Intn(256))
-			if err := c.Write(addr, []byte{val}); err != nil {
-				t.Fatal(err)
+	// single-cell upsets in its data and tag arrays, behaves exactly
+	// like a flat byte map. Ways = 3 gives the tag arrays an interleave
+	// degree that does not divide 64, so they run twod's
+	// one-bit-per-step gather/scatter fallback.
+	for _, ways := range []int{2, 3} {
+		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			c := MustNew(Config{Sets: 16, Ways: ways, LineBytes: 64}, NewMapBacking(64))
+			if _, ta := c.BankArrays(0); ta.Layout().WordsPerRow != ways {
+				t.Fatalf("tag interleave degree %d, want %d", ta.Layout().WordsPerRow, ways)
 			}
-			ref[addr] = val
-		case 2:
-			// Soft error in the data array: at most one flip per
-			// currently-clean word, so every upset stays within the
-			// horizontal code's guaranteed detection. (Unrestricted
-			// accumulation can build undetectable code-valid patterns,
-			// which are beyond 2D coverage — the flat-map equivalence
-			// asserted here only holds within coverage.)
-			da, _ := c.BankArrays(rng.Intn(c.NumBanks()))
-			r, col := rng.Intn(da.Rows()), rng.Intn(da.RowBits())
-			w, _ := da.Layout().Locate(col)
-			if _, ok := da.TryRead(r, w); ok {
-				da.FlipBit(r, col)
+			ref := map[uint64]byte{}
+			const span = 64 * 256 // many lines, some conflicts
+			for i := 0; i < 4000; i++ {
+				addr := uint64(rng.Intn(span))
+				switch rng.Intn(5) {
+				case 0, 1:
+					val := byte(rng.Intn(256))
+					if err := c.Write(addr, []byte{val}); err != nil {
+						t.Fatal(err)
+					}
+					ref[addr] = val
+				case 2:
+					// Soft error: at most one flip per currently-clean
+					// word, so every upset stays within the horizontal
+					// code's guaranteed detection. (Unrestricted
+					// accumulation can build undetectable code-valid
+					// patterns, which are beyond 2D coverage — the
+					// flat-map equivalence asserted here only holds
+					// within coverage.)
+					da, ta := c.BankArrays(rng.Intn(c.NumBanks()))
+					arr := da
+					if rng.Intn(3) == 0 {
+						arr = ta
+					}
+					r, col := rng.Intn(arr.Rows()), rng.Intn(arr.RowBits())
+					w, _ := arr.Layout().Locate(col)
+					if _, ok := arr.TryRead(r, w); ok {
+						arr.FlipBit(r, col)
+					}
+				default:
+					got, err := c.Read(addr, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[0] != ref[addr] {
+						t.Fatalf("i=%d addr=%#x: got %d want %d", i, addr, got[0], ref[addr])
+					}
+				}
 			}
-		default:
-			got, err := c.Read(addr, 1)
-			if err != nil {
-				t.Fatal(err)
+			if c.Stats().ErrorsRecovered == 0 {
+				t.Fatal("no recoveries happened — test not exercising errors")
 			}
-			if got[0] != ref[addr] {
-				t.Fatalf("i=%d addr=%#x: got %d want %d", i, addr, got[0], ref[addr])
+			if !c.Scrub() {
+				t.Fatal("scrub failed")
 			}
-		}
-	}
-	if c.Stats().ErrorsRecovered == 0 {
-		t.Fatal("no recoveries happened — test not exercising errors")
+			for b := 0; b < c.NumBanks(); b++ {
+				da, ta := c.BankArrays(b)
+				if rep := da.VerifyIntegrity(); !rep.Clean() {
+					t.Fatalf("bank %d data after scrub: %+v", b, rep)
+				}
+				if rep := ta.VerifyIntegrity(); !rep.Clean() {
+					t.Fatalf("bank %d tags after scrub: %+v", b, rep)
+				}
+			}
+		})
 	}
 }
 

@@ -117,3 +117,45 @@ func TestKernelAPIAgreesWithVectorAPI(t *testing.T) {
 		t.Fatalf("array inconsistent after mixed-API traffic: %+v", rep)
 	}
 }
+
+// TestCleanRecoverAllocFree pins a clean Recover — the scrubber's
+// common case, one per array per sweep — to zero allocations: the scan
+// creates its fault maps only on the first faulty word, and the parity
+// check folds each vertical group into array-owned scratch instead of
+// materialising per-group mismatch vectors.
+func TestCleanRecoverAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, tc := range []struct {
+		name  string
+		horiz ecc.HorizontalCode
+	}{
+		{"EDC8", ecc.MustEDC(64, 8)},
+		{"EDC16", ecc.MustEDC(64, 16)},
+		{"SECDED", ecc.MustSECDED(64)},
+	} {
+		for _, d := range []int{4, 8} {
+			a := MustArray(Config{Rows: 32, WordsPerRow: d, Horizontal: tc.horiz, VerticalGroups: 8})
+			for r := 0; r < 32; r++ {
+				for w := 0; w < d; w++ {
+					a.WriteUint64(r, w, uint64(r)*0x9E37_79B9_7F4A_7C15^uint64(w))
+				}
+			}
+			if got := testing.AllocsPerRun(50, func() {
+				if rep := a.Recover(); !rep.Success || rep.Mode != RecoveryNone {
+					t.Fatalf("clean Recover: %+v", rep)
+				}
+			}); got != 0 {
+				t.Errorf("%s d=%d: clean Recover allocates %.1f/op", tc.name, d, got)
+			}
+			if got := testing.AllocsPerRun(50, func() {
+				if rep := a.VerifyIntegrity(); !rep.Clean() {
+					t.Fatalf("clean VerifyIntegrity: %+v", rep)
+				}
+			}); got != 0 {
+				t.Errorf("%s d=%d: clean VerifyIntegrity allocates %.1f/op", tc.name, d, got)
+			}
+		}
+	}
+}

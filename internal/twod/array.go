@@ -2,7 +2,6 @@ package twod
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -125,12 +124,12 @@ func (s ReadStatus) String() string {
 // concurrently (against each other, never against a writer) and they
 // draw scratch from an internal pool instead.
 type Array struct {
-	cfg     cfgCache
-	layout  Layout
-	data    *bitvec.Matrix // Rows x RowBits: interleaved codewords
-	vpar    *bitvec.Matrix // VerticalGroups x RowBits: parity rows
-	stats   Stats
-	cwWords int // backing words per codeword scratch
+	cfg    cfgCache
+	layout Layout
+	data   *bitvec.Matrix // Rows x RowBits: interleaved codewords
+	vpar   *bitvec.Matrix // VerticalGroups x RowBits: parity rows
+	stats  Stats
+	il     interleave // gather/scatter kernel for this geometry
 
 	// residual[g] marks vertical group g as carrying an unattributable
 	// parity residue: a word with unrepairable damage was overwritten by
@@ -146,11 +145,14 @@ type Array struct {
 
 	// scr holds the exclusive-path scratch: one codeword buffer for the
 	// access in flight, one for the old word of the read-before-write
-	// delta, and one DataBits-wide staging buffer for encodes.
+	// delta, one DataBits-wide staging buffer for encodes, and one
+	// row-wide buffer that recovery and audits fold each vertical group
+	// into.
 	scr struct {
 		cw   []uint64
 		old  []uint64
 		data []uint64
+		fold []uint64
 	}
 	// tryScratch pools codeword buffers for the concurrent TryRead path.
 	tryScratch sync.Pool
@@ -185,14 +187,15 @@ func NewArray(cfg Config) (*Array, error) {
 		layout:   layout,
 		data:     bitvec.NewMatrix(cfg.Rows, layout.RowBits()),
 		vpar:     bitvec.NewMatrix(cfg.VerticalGroups, layout.RowBits()),
-		cwWords:  bitvec.WordsFor(layout.CodewordBits),
+		il:       newInterleave(cfg.WordsPerRow, layout.CodewordBits),
 		residual: make([]bool, cfg.VerticalGroups),
 	}
-	a.scr.cw = make([]uint64, a.cwWords)
-	a.scr.old = make([]uint64, a.cwWords)
+	a.scr.cw = make([]uint64, a.il.cwWords)
+	a.scr.old = make([]uint64, a.il.cwWords)
 	a.scr.data = make([]uint64, a.cfg.dataWords)
+	a.scr.fold = make([]uint64, a.il.rowWords)
 	a.tryScratch.New = func() any {
-		buf := make([]uint64, a.cwWords)
+		buf := make([]uint64, a.il.cwWords)
 		return &buf
 	}
 	return a, nil
@@ -254,27 +257,9 @@ func (a *Array) group(r int) int { return r % a.cfg.VerticalGroups }
 // changed bits back. No step allocates.
 
 // extractInto gathers word w's codeword out of physical row r into dst
-// (length >= cwWords; cleared first).
+// (length >= the codeword's word count).
 func (a *Array) extractInto(dst []uint64, r, w int) {
-	row := a.data.RowWords(r)
-	d := a.cfg.WordsPerRow
-	nb := a.layout.CodewordBits
-	if d == 1 {
-		// Contiguous layout: the codeword is the row prefix.
-		copy(dst[:a.cwWords], row)
-		if rem := nb & 63; rem != 0 {
-			dst[a.cwWords-1] &= 1<<uint(rem) - 1
-		}
-		return
-	}
-	for i := 0; i < a.cwWords; i++ {
-		dst[i] = 0
-	}
-	col := w
-	for b := 0; b < nb; b++ {
-		dst[b>>6] |= (row[col>>6] >> uint(col&63) & 1) << uint(b&63)
-		col += d
-	}
+	a.il.gather(dst, a.data.RowWords(r), w)
 }
 
 // syndromeAt returns the horizontal syndrome of word (r, w) using the
@@ -287,25 +272,11 @@ func (a *Array) syndromeAt(r, w int) uint64 {
 // scatterXor flips, in physical row r (and optionally the row's
 // vertical parity), every cell whose codeword bit is set in delta.
 func (a *Array) scatterXor(r, w int, delta []uint64, withParity bool) {
-	row := a.data.RowWords(r)
 	var par []uint64
 	if withParity {
 		par = a.vpar.RowWords(a.group(r))
 	}
-	d := a.cfg.WordsPerRow
-	for wi, x := range delta {
-		base := wi << 6
-		for x != 0 {
-			b := base + bits.TrailingZeros64(x)
-			x &= x - 1
-			col := b*d + w
-			mask := uint64(1) << uint(col&63)
-			row[col>>6] ^= mask
-			if withParity {
-				par[col>>6] ^= mask
-			}
-		}
-	}
+	a.il.scatter(a.data.RowWords(r), par, w, delta)
 }
 
 // storeWords writes codeword cw into word slot (r, w), updating the
@@ -313,6 +284,13 @@ func (a *Array) scatterXor(r, w int, delta []uint64, withParity bool) {
 // Fig. 4(a) step 2). Exclusive path: uses a.scr.old.
 func (a *Array) storeWords(r, w int, cw []uint64) {
 	a.extractInto(a.scr.old, r, w)
+	a.storeOverOld(r, w, cw)
+}
+
+// storeOverOld is storeWords when a.scr.old already holds slot (r, w)'s
+// stored codeword — left there by the syndromeAt check just before, with
+// nothing written since — so the slot is gathered once per write.
+func (a *Array) storeOverOld(r, w int, cw []uint64) {
 	for i := range a.scr.old {
 		a.scr.old[i] ^= cw[i] // now the delta
 	}
@@ -381,7 +359,6 @@ func (a *Array) WriteUint64(r, w int, v uint64) ReadStatus {
 func (a *Array) writeStaged(r, w int) ReadStatus {
 	atomic.AddUint64(&a.stats.Writes, 1)
 	atomic.AddUint64(&a.stats.ExtraReads, 1) // the read-before-write
-	status := ReadClean
 	if a.syndromeAt(r, w) != 0 {
 		// Latent error under the write target: repair before computing
 		// the delta, otherwise the corruption would poison the parity.
@@ -412,11 +389,13 @@ func (a *Array) writeStaged(r, w int) ReadStatus {
 			a.emitUncorrectable(r, w)
 			return ReadUncorrectable
 		}
-		status = ReadRecovered
+		a.encodeDataInto(a.scr.cw)
+		a.storeWords(r, w, a.scr.cw)
+		return ReadRecovered
 	}
 	a.encodeDataInto(a.scr.cw)
-	a.storeWords(r, w, a.scr.cw)
-	return status
+	a.storeOverOld(r, w, a.scr.cw)
+	return ReadClean
 }
 
 // Read returns word w of row r, checking the horizontal code and
@@ -620,7 +599,7 @@ func (a *Array) ForceWrite(r, w int, data *bitvec.Vector) {
 	}
 	copy(a.scr.data, data.Words())
 	a.encodeDataInto(a.scr.cw)
-	a.storeWords(r, w, a.scr.cw)
+	a.storeOverOld(r, w, a.scr.cw)
 }
 
 // ForceWriteUint64 is ForceWrite for DataBits <= 64. Allocation-free,
@@ -640,5 +619,5 @@ func (a *Array) ForceWriteUint64(r, w int, v uint64) {
 	}
 	a.scr.data[0] = v
 	a.encodeDataInto(a.scr.cw)
-	a.storeWords(r, w, a.scr.cw)
+	a.storeOverOld(r, w, a.scr.cw)
 }

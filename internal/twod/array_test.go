@@ -94,22 +94,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// parityConsistent checks the fundamental invariant: every vertical
-// parity row equals the XOR of its group's data rows.
-func parityConsistent(a *Array) bool {
-	return allZero(a.verticalMismatch())
-}
-
 func TestVerticalParityInvariantAfterWrites(t *testing.T) {
 	a := small8kb(t)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
 		a.Write(rng.Intn(a.Rows()), rng.Intn(4), randVec(rng, 64))
-		if i%200 == 0 && !parityConsistent(a) {
+		if i%200 == 0 && !a.verticalConsistent() {
 			t.Fatalf("parity inconsistent after %d writes", i+1)
 		}
 	}
-	if !parityConsistent(a) {
+	if !a.verticalConsistent() {
 		t.Fatal("parity inconsistent at end")
 	}
 }
@@ -140,7 +134,7 @@ func TestSingleBitErrorRecoveredWithEDC(t *testing.T) {
 		t.Fatal("data not recovered")
 	}
 	// Array must be fully consistent afterwards.
-	if !parityConsistent(a) {
+	if !a.verticalConsistent() {
 		t.Fatal("parity inconsistent after recovery")
 	}
 }
@@ -181,7 +175,7 @@ func TestWriteOverLatentError(t *testing.T) {
 	if st != ReadRecovered {
 		t.Fatalf("write status = %v", st)
 	}
-	if !parityConsistent(a) {
+	if !a.verticalConsistent() {
 		t.Fatal("parity poisoned by write over latent error")
 	}
 }

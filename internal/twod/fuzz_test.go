@@ -74,7 +74,7 @@ func TestRecoverNeverPanicsOnRandomSoup(t *testing.T) {
 					}
 				}
 			}
-			if !parityConsistent(a) {
+			if !a.verticalConsistent() {
 				t.Fatalf("trial %d: success with inconsistent parity", trial)
 			}
 		}

@@ -34,7 +34,7 @@ func TestPropertyClusterWithinCoverageAlwaysRecovers(t *testing.T) {
 			a.FlipBit(r0+rng.Intn(h), c0+rng.Intn(w))
 		}
 		rep := a.Recover()
-		return rep.Success && len(a.SnapshotData().Diff(golden)) == 0 && parityConsistent(a)
+		return rep.Success && len(a.SnapshotData().Diff(golden)) == 0 && a.verticalConsistent()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestPropertyWritesPreserveParity(t *testing.T) {
 				}
 			}
 		}
-		return parityConsistent(a)
+		return a.verticalConsistent()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestPropertySECDEDInlineNeverBreaksParity(t *testing.T) {
 		a.FlipBit(r, col)
 		w, _ := a.Layout().Locate(col)
 		_, st := a.Read(r, w)
-		return st == ReadCorrectedInline && parityConsistent(a)
+		return st == ReadCorrectedInline && a.verticalConsistent()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

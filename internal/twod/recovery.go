@@ -90,18 +90,19 @@ func (a *Array) recoverImpl() RecoveryReport {
 	faultyWords, faultyRows := a.scan(&rep)
 	rep.FaultyWords = len(faultyWords)
 
-	mismatch := a.verticalMismatch()
-
 	if len(faultyWords) == 0 {
 		// Data clean. If parity rows disagree they took the hit; rebuild.
 		rep.Mode = RecoveryNone
-		if !allZero(mismatch) {
+		if !a.verticalConsistent() {
 			a.rebuildParity()
 			rep.ParityRefreshed = true
 		}
 		rep.Success = true
 		return rep
 	}
+
+	// Repair path: only here is the per-group mismatch materialised.
+	mismatch := a.verticalMismatch()
 
 	// Count faulty rows per vertical group.
 	groupCount := make([]int, a.cfg.VerticalGroups)
@@ -178,7 +179,7 @@ func (a *Array) recoverImpl() RecoveryReport {
 	}
 	// Data verified clean; restore the parity invariant if anything is
 	// left inconsistent (e.g. parity rows themselves were struck).
-	if remaining := a.verticalMismatch(); !allZero(remaining) {
+	if !a.verticalConsistent() {
 		if rep.InlineFixes > 0 {
 			// Inline ECC corrections that leave the vertical parity
 			// inconsistent indicate a miscorrection (>1 real error in
@@ -188,8 +189,8 @@ func (a *Array) recoverImpl() RecoveryReport {
 			atomic.AddUint64(&a.stats.Uncorrectable, 1)
 			return rep
 		}
-		for g, m := range remaining {
-			if m.IsZero() || a.residual[g] || !touched[g] {
+		for g := 0; g < a.cfg.VerticalGroups; g++ {
+			if a.residual[g] || !touched[g] || allZeroWords(a.foldGroup(g)) {
 				continue
 			}
 			// This recovery wrote into group g, every word now checks
@@ -211,13 +212,17 @@ func (a *Array) recoverImpl() RecoveryReport {
 }
 
 // scan marches over the array checking every word's horizontal code.
-func (a *Array) scan(rep *RecoveryReport) (map[[2]int]uint64, map[int]bool) {
-	faultyWords := make(map[[2]int]uint64)
-	faultyRows := make(map[int]bool)
+// The maps are created on the first faulty word, so a clean pass — the
+// scrubber's common case — allocates nothing (both stay nil).
+func (a *Array) scan(rep *RecoveryReport) (faultyWords map[[2]int]uint64, faultyRows map[int]bool) {
 	for r := 0; r < a.cfg.Rows; r++ {
 		for w := 0; w < a.cfg.WordsPerRow; w++ {
 			rep.ScanReads++
 			if syn := a.checkWord(r, w); syn != 0 {
+				if faultyWords == nil {
+					faultyWords = make(map[[2]int]uint64)
+					faultyRows = make(map[int]bool)
+				}
 				faultyWords[[2]int{r, w}] = syn
 				faultyRows[r] = true
 			}
@@ -236,26 +241,13 @@ func (a *Array) scan(rep *RecoveryReport) (map[[2]int]uint64, map[int]bool) {
 // error pattern and remains beyond coverage, as in the paper.
 func (a *Array) rowDeltaPlausible(r int, m *bitvec.Vector) bool {
 	nb := a.layout.CodewordBits
-	d := a.cfg.WordsPerRow
-	mw := m.Words()
+	s := a.scr.cw
 	for w := 0; w < a.cfg.WordsPerRow; w++ {
 		// Gather m's interleaved slice for word slot w into scratch.
-		s := a.scr.cw
-		for i := range s {
-			s[i] = 0
-		}
-		zero := true
-		col := w
-		for b := 0; b < nb; b++ {
-			if mw[col>>6]>>uint(col&63)&1 != 0 {
-				zero = false
-				s[b>>6] |= 1 << uint(b&63)
-			}
-			col += d
-		}
+		a.il.gather(s, m.Words(), w)
 		syn := a.syndromeAt(r, w)
 		if syn == 0 {
-			if !zero {
+			if !allZeroWords(s) {
 				return false
 			}
 			continue
@@ -270,16 +262,41 @@ func (a *Array) rowDeltaPlausible(r int, m *bitvec.Vector) bool {
 // verticalMismatch returns, per group, the XOR of the stored parity row
 // with the parity recomputed from the data rows. With at most one
 // faulty row in the group this equals that row's exact error pattern.
+// Only the repair path needs these owned copies; checks use foldGroup.
 func (a *Array) verticalMismatch() []*bitvec.Vector {
 	out := make([]*bitvec.Vector, a.cfg.VerticalGroups)
 	for g := range out {
-		m := a.vpar.Row(g).Clone()
-		for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
-			m.Xor(a.data.Row(r))
-		}
+		m := bitvec.New(a.vpar.Cols())
+		copy(m.Words(), a.foldGroup(g))
 		out[g] = m
 	}
 	return out
+}
+
+// foldGroup XORs group g's stored parity row with every data row of the
+// group into the array-owned row scratch and returns it: the group's
+// mismatch, all zero iff its parity is consistent. It allocates
+// nothing; the result is overwritten by the next call.
+func (a *Array) foldGroup(g int) []uint64 {
+	f := a.scr.fold
+	copy(f, a.vpar.RowWords(g))
+	for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
+		for i, x := range a.data.RowWords(r) {
+			f[i] ^= x
+		}
+	}
+	return f
+}
+
+// verticalConsistent reports whether every group's stored parity row
+// equals the XOR of its data rows.
+func (a *Array) verticalConsistent() bool {
+	for g := 0; g < a.cfg.VerticalGroups; g++ {
+		if !allZeroWords(a.foldGroup(g)) {
+			return false
+		}
+	}
+	return true
 }
 
 // rebuildParity recomputes all vertical parity rows from the data.
@@ -287,12 +304,17 @@ func (a *Array) verticalMismatch() []*bitvec.Vector {
 // callers are responsible for only rebuilding over trustworthy data.
 func (a *Array) rebuildParity() {
 	for g := 0; g < a.cfg.VerticalGroups; g++ {
-		p := a.vpar.Row(g)
-		p.Zero()
-		for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
-			p.Xor(a.data.Row(r))
-		}
+		a.rebuildGroup(g)
 		a.residual[g] = false
+	}
+}
+
+// rebuildGroup recomputes group g's parity row from its data rows.
+func (a *Array) rebuildGroup(g int) {
+	p := a.vpar.Row(g)
+	p.Zero()
+	for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
+		p.Xor(a.data.Row(r))
 	}
 }
 
@@ -607,10 +629,8 @@ func solveGF2(cols []uint64, target uint64) (sel []bool, unique bool) {
 func (a *Array) FlushResidualParity() int {
 	flushed := 0
 	for g := 0; g < a.cfg.VerticalGroups; g++ {
-		m := a.vpar.Row(g).Clone()
 		clean := true
 		for r := g; r < a.cfg.Rows && clean; r += a.cfg.VerticalGroups {
-			m.Xor(a.data.Row(r))
 			for w := 0; w < a.cfg.WordsPerRow; w++ {
 				if a.syndromeAt(r, w) != 0 {
 					clean = false
@@ -624,22 +644,18 @@ func (a *Array) FlushResidualParity() int {
 		// Every word of the group checks clean: any residue is now
 		// retired (rebuilt away below) and the taint lifts.
 		a.residual[g] = false
-		if m.IsZero() {
+		if allZeroWords(a.foldGroup(g)) {
 			continue
 		}
-		p := a.vpar.Row(g)
-		p.Zero()
-		for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
-			p.Xor(a.data.Row(r))
-		}
+		a.rebuildGroup(g)
 		flushed++
 	}
 	return flushed
 }
 
-func allZero(vs []*bitvec.Vector) bool {
-	for _, v := range vs {
-		if !v.IsZero() {
+func allZeroWords(ws []uint64) bool {
+	for _, x := range ws {
+		if x != 0 {
 			return false
 		}
 	}
@@ -673,8 +689,8 @@ func (a *Array) VerifyIntegrity() IntegrityReport {
 			}
 		}
 	}
-	for _, m := range a.verticalMismatch() {
-		if !m.IsZero() {
+	for g := 0; g < a.cfg.VerticalGroups; g++ {
+		if !allZeroWords(a.foldGroup(g)) {
 			rep.ParityMismatches++
 		}
 	}

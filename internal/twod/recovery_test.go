@@ -31,7 +31,7 @@ func recoverAndCompare(t *testing.T, a *Array, golden *bitvec.Matrix, wantSucces
 		if diffs := a.SnapshotData().Diff(golden); len(diffs) != 0 {
 			t.Fatalf("array differs from golden at %d positions after recovery (mode %v)", len(diffs), rep.Mode)
 		}
-		if !parityConsistent(a) {
+		if !a.verticalConsistent() {
 			t.Fatal("parity inconsistent after successful recovery")
 		}
 	}
@@ -327,7 +327,7 @@ func TestRecoveryRefreshesCorruptedParity(t *testing.T) {
 	if !rep.Success || !rep.ParityRefreshed {
 		t.Fatalf("parity refresh: %+v", rep)
 	}
-	if !parityConsistent(a) {
+	if !a.verticalConsistent() {
 		t.Fatal("parity still inconsistent")
 	}
 }
@@ -396,7 +396,7 @@ func TestErrorInParityAndData(t *testing.T) {
 	if len(a.SnapshotData().Diff(golden)) != 0 {
 		t.Fatal("data not restored")
 	}
-	if !parityConsistent(a) {
+	if !a.verticalConsistent() {
 		t.Fatal("parity not rebuilt")
 	}
 }

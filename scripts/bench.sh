@@ -21,7 +21,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 count=${COUNT:-5}
-pattern='BenchmarkArrayWrite$|BenchmarkArrayReadClean$|BenchmarkEDC8Syndrome$|BenchmarkSECDEDDecode$|BenchmarkPCacheParallelRead$|BenchmarkPCacheParallelReadInto$|BenchmarkKernel|BenchmarkObs'
+pattern='BenchmarkArrayWrite$|BenchmarkArrayReadClean$|BenchmarkArrayReadUint64|BenchmarkArrayWriteUint64|BenchmarkArrayRecoverClean|BenchmarkEDC8Syndrome$|BenchmarkSECDEDDecode$|BenchmarkPCacheParallelRead$|BenchmarkPCacheParallelReadInto$|BenchmarkKernel|BenchmarkObs'
 pkgs='. ./internal/obs/'
 case "${1:-}" in
 -kernels)

@@ -9,6 +9,11 @@
 # the obs registry) and the kernel layer they are built on (bitvec word
 # views, ecc scratch pools); -full extends it to the whole module.
 #
+# perfbench/ is its own Go module (the serving benchmark), so the
+# root go vet/go test never reach it; its self-tests (seed determinism,
+# histogram error, bare-vs-wrapped differential, metric names) run as a
+# separate step.
+#
 # The replay gate re-runs every committed fault trace in
 # internal/replay/testdata/ (each one is a shrunk, once-silent storm
 # run) through the deterministic replayer; -full repeats them under
@@ -44,6 +49,8 @@ echo "== go build ./..."
 go build ./...
 echo "== go test ./..."
 go test -timeout 120s ./...
+echo "== perfbench self-tests (separate module; go test ./... skips it)"
+(cd perfbench && go vet ./... && go test -timeout 120s ./...)
 echo "== replay gate (committed fault traces)"
 go test -timeout 120s ./internal/replay/ -run 'TestCommittedTraces'
 if [ "${1:-}" = "-full" ]; then
