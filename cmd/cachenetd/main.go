@@ -2,9 +2,9 @@
 // TCP with the netsrv pipelined binary protocol. It is the
 // production-shaped composition of the stack: N independent shards
 // behind the batch-amortised router, per-shard scrubbers, optional
-// continuous fault storm for torture runs, an owned /metrics endpoint,
-// and a graceful drain on SIGINT/SIGTERM — stop accepting, finish
-// in-flight requests, flush dirty lines, then exit 0.
+// continuous fault storm for torture runs, an owned /metrics and
+// /debug/pprof/ endpoint, and a graceful drain on SIGINT/SIGTERM — stop
+// accepting, finish in-flight requests, flush dirty lines, then exit 0.
 //
 // The EPOCH opcode is wired to the store's loss-epoch oracle, so a
 // remote load generator (cmd/cacheload) can distinguish accounted data
@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -44,7 +45,7 @@ func main() {
 		scrubInterval = flag.Duration("scrub-interval", 2*time.Millisecond, "pause between background scrub sweeps")
 		faultInterval = flag.Duration("fault-interval", 0, "mean time between injected fault events (0 = no storm)")
 		seed          = flag.Int64("seed", 1, "random seed for the fault storm")
-		httpAddr      = flag.String("http", "", "serve expvar (/debug/vars) and Prometheus text (/metrics) on this address")
+		httpAddr      = flag.String("http", "", "serve expvar (/debug/vars), pprof (/debug/pprof/) and Prometheus text (/metrics) on this address")
 		duration      = flag.Duration("duration", 0, "exit after this long (0 = run until SIGINT/SIGTERM)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget; connections still open after it are force-closed")
 
@@ -138,9 +139,7 @@ func main() {
 	var httpSrv *http.Server
 	if *httpAddr != "" {
 		reg.PublishExpvar("twodcache")
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", http.DefaultServeMux)
+		mux := httpMux(reg.Handler())
 		hl, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cachenetd: http:", err)
@@ -152,7 +151,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "cachenetd: http:", err)
 			}
 		}()
-		fmt.Printf("cachenetd: serving /debug/vars and /metrics on %s\n", hl.Addr())
+		fmt.Printf("cachenetd: serving /debug/vars, /debug/pprof/ and /metrics on %s\n", hl.Addr())
 	}
 
 	// Lifetime: a deadline (when asked), SIGINT, or SIGTERM ends the
@@ -250,4 +249,20 @@ func main() {
 	s := st.Stats()
 	fmt.Printf("cachenetd: drained clean — %d accesses (%d hits, %d misses), %d recovered, %d uncorrectable, %d dirty lines lost\n",
 		s.Accesses, s.Hits, s.Misses, s.ErrorsRecovered, s.Uncorrectable, s.DirtyLinesLost)
+}
+
+// httpMux is the -http endpoint's private mux: Prometheus text at
+// /metrics, expvar at /debug/vars, and net/http/pprof's handlers under
+// /debug/pprof/, so a CPU profile of a live server is one fetch away
+// (go tool pprof http://ADDR/debug/pprof/profile?seconds=10).
+func httpMux(metrics http.Handler) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics)
+	mux.Handle("/debug/vars", http.DefaultServeMux)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

@@ -8,6 +8,12 @@ import (
 	"twodcache/internal/sim"
 )
 
+// The simulation-backed tests build their own simulators and share no
+// state, so they call t.Parallel(): under -race they take most of the
+// package's time, and overlapping them keeps `scripts/check.sh -full`
+// inside its 120 s deadlock gate. A -race run also checks the
+// no-shared-state claim.
+
 func pctVal(t *testing.T, s string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
@@ -88,6 +94,7 @@ func TestFig2Shapes(t *testing.T) {
 }
 
 func TestFig3Coverage(t *testing.T) {
+	t.Parallel()
 	tab := Fig3(Quick())
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -127,6 +134,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig5Quick(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
@@ -145,6 +153,7 @@ func TestFig5Quick(t *testing.T) {
 }
 
 func TestFig6Quick(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
@@ -162,6 +171,7 @@ func TestFig6Quick(t *testing.T) {
 }
 
 func TestFig7(t *testing.T) {
+	t.Parallel()
 	for _, l2 := range []bool{false, true} {
 		tab := Fig7(l2, Quick())
 		if len(tab.Rows) < 4 {
@@ -183,6 +193,7 @@ func TestFig7(t *testing.T) {
 }
 
 func TestFig8a(t *testing.T) {
+	t.Parallel()
 	tab := Fig8a()
 	if len(tab.Rows) != 11 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -197,6 +208,7 @@ func TestFig8a(t *testing.T) {
 }
 
 func TestFig8b(t *testing.T) {
+	t.Parallel()
 	tab := Fig8b()
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -215,6 +227,7 @@ func TestFig8b(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
@@ -290,96 +303,119 @@ func TestFig1bChartRenders(t *testing.T) {
 }
 
 func TestNewAblationDrivers(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
 	opt := Quick()
-
-	wt := AblationWriteThrough(opt)
-	if len(wt.Rows) != 4 {
-		t.Fatalf("abl-wt rows = %d", len(wt.Rows))
+	// Each driver runs its own simulations, so the drivers run as
+	// parallel subtests.
+	drivers := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"abl-wt", func(t *testing.T) {
+			wt := AblationWriteThrough(opt)
+			if len(wt.Rows) != 4 {
+				t.Fatalf("abl-wt rows = %d", len(wt.Rows))
+			}
+			// Write-through must carry far more L2 write traffic than 2D
+			// write-back on the same system.
+			for i := 0; i < len(wt.Rows); i += 2 {
+				wb, _ := strconv.ParseFloat(wt.Rows[i][3], 64)
+				wtr, _ := strconv.ParseFloat(wt.Rows[i+1][3], 64)
+				if wtr < wb*3 {
+					t.Fatalf("write-through traffic %v not >> write-back %v", wtr, wb)
+				}
+			}
+		}},
+		{"abl-scrub", func(t *testing.T) {
+			sc := AblationScrubInterval(opt)
+			if len(sc.Rows) != 5 {
+				t.Fatalf("abl-scrub rows = %d", len(sc.Rows))
+			}
+			firstI, _ := strconv.ParseFloat(sc.Rows[0][2], 64)
+			lastI, _ := strconv.ParseFloat(sc.Rows[len(sc.Rows)-1][2], 64)
+			if lastI < firstI {
+				t.Fatalf("longer scrub interval safer: %v vs %v", lastI, firstI)
+			}
+		}},
+		{"abl-bisr", func(t *testing.T) {
+			bisr := AblationBISRYield(opt)
+			if len(bisr.Rows) != 6 {
+				t.Fatalf("abl-bisr rows = %d", len(bisr.Rows))
+			}
+		}},
+		{"abl-err", func(t *testing.T) {
+			errT := AblationRecoveryRate(opt)
+			if len(errT.Rows) != 4 {
+				t.Fatalf("abl-err rows = %d", len(errT.Rows))
+			}
+			if errT.Rows[0][1] != "0" {
+				t.Fatalf("no-injection row has recoveries: %v", errT.Rows[0])
+			}
+		}},
+		{"abl-vcode", func(t *testing.T) {
+			vc := AblationVerticalCode(opt)
+			if len(vc.Rows) != 2 {
+				t.Fatalf("abl-vcode rows = %d", len(vc.Rows))
+			}
+			// Parity handles clusters; vertical SECDED handles scattered.
+			if vc.Rows[0][3] != "100.0%" || vc.Rows[1][5] != "100.0%" {
+				t.Fatalf("vcode coverage: %v", vc.Rows)
+			}
+			if vc.Rows[1][3] == "100.0%" {
+				t.Fatalf("vertical SECDED should not cover 32x32 clusters: %v", vc.Rows[1])
+			}
+		}},
+		{"abl-repl", func(t *testing.T) {
+			repl := AblationReplicationCache(opt)
+			if len(repl.Rows) != 4 {
+				t.Fatalf("abl-repl rows = %d", len(repl.Rows))
+			}
+			small, _ := strconv.ParseFloat(repl.Rows[1][2], 64)
+			big, _ := strconv.ParseFloat(repl.Rows[3][2], 64)
+			if small <= big {
+				t.Fatalf("small replication buffer should spill more: %v vs %v", small, big)
+			}
+		}},
+		{"abl-hintv", func(t *testing.T) {
+			hi := AblationHorizontalInterleave(opt)
+			if len(hi.Rows) != 3 {
+				t.Fatalf("abl-hintv rows = %d", len(hi.Rows))
+			}
+			for _, r := range hi.Rows {
+				if r[3] != "100.0%" {
+					t.Fatalf("equal-width combo lost coverage: %v", r)
+				}
+			}
+		}},
+		{"abl-miscorrect", func(t *testing.T) {
+			mc := AblationMiscorrection(opt)
+			if len(mc.Rows) != 5 {
+				t.Fatalf("abl-miscorrect rows = %d", len(mc.Rows))
+			}
+			// Nothing silently corrupts at w=1; SECDED does at w=3.
+			for _, r := range mc.Rows {
+				if r[1] != "0.0%" {
+					t.Fatalf("w=1 silent corruption in %v", r)
+				}
+			}
+			if mc.Rows[1][3] == "0.0%" {
+				t.Fatalf("SECDED at w=3 should miscorrect: %v", mc.Rows[1])
+			}
+		}},
 	}
-	// Write-through must carry far more L2 write traffic than 2D
-	// write-back on the same system.
-	for i := 0; i < len(wt.Rows); i += 2 {
-		wb, _ := strconv.ParseFloat(wt.Rows[i][3], 64)
-		wtr, _ := strconv.ParseFloat(wt.Rows[i+1][3], 64)
-		if wtr < wb*3 {
-			t.Fatalf("write-through traffic %v not >> write-back %v", wtr, wb)
-		}
-	}
-
-	sc := AblationScrubInterval(opt)
-	if len(sc.Rows) != 5 {
-		t.Fatalf("abl-scrub rows = %d", len(sc.Rows))
-	}
-	firstI, _ := strconv.ParseFloat(sc.Rows[0][2], 64)
-	lastI, _ := strconv.ParseFloat(sc.Rows[len(sc.Rows)-1][2], 64)
-	if lastI < firstI {
-		t.Fatalf("longer scrub interval safer: %v vs %v", lastI, firstI)
-	}
-
-	bisr := AblationBISRYield(opt)
-	if len(bisr.Rows) != 6 {
-		t.Fatalf("abl-bisr rows = %d", len(bisr.Rows))
-	}
-
-	errT := AblationRecoveryRate(opt)
-	if len(errT.Rows) != 4 {
-		t.Fatalf("abl-err rows = %d", len(errT.Rows))
-	}
-	if errT.Rows[0][1] != "0" {
-		t.Fatalf("no-injection row has recoveries: %v", errT.Rows[0])
-	}
-
-	vc := AblationVerticalCode(opt)
-	if len(vc.Rows) != 2 {
-		t.Fatalf("abl-vcode rows = %d", len(vc.Rows))
-	}
-	// Parity handles clusters; vertical SECDED handles scattered.
-	if vc.Rows[0][3] != "100.0%" || vc.Rows[1][5] != "100.0%" {
-		t.Fatalf("vcode coverage: %v", vc.Rows)
-	}
-	if vc.Rows[1][3] == "100.0%" {
-		t.Fatalf("vertical SECDED should not cover 32x32 clusters: %v", vc.Rows[1])
-	}
-
-	repl := AblationReplicationCache(opt)
-	if len(repl.Rows) != 4 {
-		t.Fatalf("abl-repl rows = %d", len(repl.Rows))
-	}
-	small, _ := strconv.ParseFloat(repl.Rows[1][2], 64)
-	big, _ := strconv.ParseFloat(repl.Rows[3][2], 64)
-	if small <= big {
-		t.Fatalf("small replication buffer should spill more: %v vs %v", small, big)
-	}
-
-	hi := AblationHorizontalInterleave(opt)
-	if len(hi.Rows) != 3 {
-		t.Fatalf("abl-hintv rows = %d", len(hi.Rows))
-	}
-	for _, r := range hi.Rows {
-		if r[3] != "100.0%" {
-			t.Fatalf("equal-width combo lost coverage: %v", r)
-		}
-	}
-
-	mc := AblationMiscorrection(opt)
-	if len(mc.Rows) != 5 {
-		t.Fatalf("abl-miscorrect rows = %d", len(mc.Rows))
-	}
-	// Nothing silently corrupts at w=1; SECDED does at w=3.
-	for _, r := range mc.Rows {
-		if r[1] != "0.0%" {
-			t.Fatalf("w=1 silent corruption in %v", r)
-		}
-	}
-	if mc.Rows[1][3] == "0.0%" {
-		t.Fatalf("SECDED at w=3 should miscorrect: %v", mc.Rows[1])
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			t.Parallel()
+			d.run(t)
+		})
 	}
 }
 
 func TestFig4Walkthrough(t *testing.T) {
+	t.Parallel()
 	tab := Fig4(Quick())
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))

@@ -16,6 +16,18 @@ import (
 // so -benchmem totals cover client AND server allocations per op.
 func benchClient(b *testing.B) *Client {
 	b.Helper()
+	c, err := Dial(benchServer(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return c
+}
+
+// benchServer stands a 1-shard store + server on loopback and returns
+// its address.
+func benchServer(b *testing.B) string {
+	b.Helper()
 	backing := pcache.NewMapBacking(lineBytes)
 	st, err := store.New(store.Config{
 		Shards:     1,
@@ -42,12 +54,7 @@ func benchClient(b *testing.B) *Client {
 		cancel()
 		<-served
 	})
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	return c
+	return l.Addr().String()
 }
 
 // BenchmarkNetSingleRead: one deadline-free READ frame per op (the
@@ -133,4 +140,50 @@ func BenchmarkNetBatchWrite32(b *testing.B) {
 			b.Fatalf("failed=%d err=%v", failed, err)
 		}
 	}
+}
+
+// benchParallel drives op from 8 goroutines per GOMAXPROCS sharing one
+// Client, the shape of a pipelined load generator, and reports the
+// client's socket writes per op: 1 would mean no two callers ever
+// shared a write.
+func benchParallel(b *testing.B, op func(c *Client, i int) error) {
+	c, cc := dialCounted(b, benchServer(b))
+	seed := make([]byte, lineBytes)
+	for i := 0; i < 16; i++ {
+		if err := c.Write(uint64(i)*lineBytes, seed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetParallelism(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	w0 := cc.writes.Load()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if err := op(c, i); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(cc.writes.Load()-w0)/float64(b.N), "writes/op")
+}
+
+// BenchmarkNetParallelRead: concurrent deadline-free single READs on one
+// Client.
+func BenchmarkNetParallelRead(b *testing.B) {
+	benchParallel(b, func(c *Client, i int) error {
+		_, err := c.Read(uint64(i%16)*lineBytes, lineBytes)
+		return err
+	})
+}
+
+// BenchmarkNetParallelWrite: concurrent deadline-free single WRITEs on
+// one Client.
+func BenchmarkNetParallelWrite(b *testing.B) {
+	data := make([]byte, lineBytes)
+	benchParallel(b, func(c *Client, i int) error {
+		return c.Write(uint64(i%16)*lineBytes, data)
+	})
 }

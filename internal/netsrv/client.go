@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 // Client is a pipelined protocol client, safe for concurrent callers:
 // every in-flight request holds its own id, so N goroutines sharing one
 // Client keep N requests on the wire at once and responses are
-// correlated back by id regardless of arrival order. Errors decoded
+// correlated back by id regardless of arrival order. A burst of
+// concurrent callers shares one socket write (see call). Errors decoded
 // from the wire unwrap to the same sentinels local store calls return
 // (pcache.ErrUncorrectable, resilience.ErrRecoveryInProgress,
 // context.DeadlineExceeded), so remote and local failure handling is
@@ -23,11 +25,11 @@ import (
 type Client struct {
 	nc net.Conn
 
-	// wmu serialises frame writes; the bufio flush after every send
-	// keeps single-caller latency low while still letting concurrent
-	// callers interleave whole frames. hdr is the wmu-guarded header
-	// scratch: frames go out as a header write plus a payload write, so
-	// no per-call frame buffer is ever assembled.
+	// wmu serialises appends to and flushes of bw, so concurrent
+	// callers interleave whole frames and a burst of them shares one
+	// flush (see call). hdr is the wmu-guarded header scratch: frames
+	// go into bw as a header plus a payload, so no per-call frame
+	// buffer is ever assembled.
 	wmu sync.Mutex
 	bw  *bufio.Writer
 	hdr [frameHeader + frameFixed]byte
@@ -151,6 +153,14 @@ func (c *Client) call(ctx context.Context, op uint8, payload []byte) (wireResp, 
 	c.pending[id] = ch
 	c.pmu.Unlock()
 
+	// Append the frame, yield once so callers readLoop just woke can
+	// append theirs, then flush the lot: the first caller back pays one
+	// write syscall for the whole burst and the rest find bw empty. No
+	// frame is stranded, because only a flush empties bw: every caller
+	// flushes after its own append or finds that someone else did.
+	// Flush on an empty buffer makes no syscall but still returns an
+	// earlier failed flush's sticky error, so every caller whose frame
+	// was lost with it fails too.
 	c.wmu.Lock()
 	bePut32(c.hdr[:], uint32(frameFixed+len(payload)))
 	c.hdr[4] = op
@@ -159,10 +169,13 @@ func (c *Client) call(ctx context.Context, op uint8, payload []byte) (wireResp, 
 	if werr == nil && len(payload) > 0 {
 		_, werr = c.bw.Write(payload)
 	}
-	if werr == nil {
-		werr = c.bw.Flush()
-	}
 	c.wmu.Unlock()
+	if werr == nil {
+		runtime.Gosched()
+		c.wmu.Lock()
+		werr = c.bw.Flush()
+		c.wmu.Unlock()
+	}
 	if werr != nil {
 		c.fatal(werr)
 		return wireResp{}, c.closedErr()

@@ -130,14 +130,25 @@ case "${1:-}" in
     # column is the committed pre-pooling baseline (per-call frame
     # assembly, fresh op slices and Dst buffers per batch, unpooled
     # response frames), measured with the same benches at the commit
-    # that introduced them.
+    # that introduced them. The BenchmarkNetParallel* rows share one
+    # Client among 8 x GOMAXPROCS callers and report the client's socket
+    # writes per op (1.00 = no two callers ever shared a write).
     out=results/BENCH_netalloc.md
     raw=$(mktemp)
     trap 'rm -f "$raw"' EXIT
     go test -run '^$' -bench 'BenchmarkNet' -benchmem -count "${COUNT:-3}" \
         ./internal/netsrv/ | tee "$raw"
+    range_of() { # $1 = benchmark name, $2 = unit -> "min" or "min–max" across runs
+        awk -v b="$1" -v u="$2" '$1 == b || $1 ~ "^"b"-" {
+            for (i = 2; i < NF; i++) if ($(i+1) == u) {
+                v = $i + 0
+                if (lo == "" || v < lo) lo = v
+                if (hi == "" || v > hi) hi = v
+            }
+        } END { print (lo == "" ? "?" : (lo == hi ? lo : lo "–" hi)) }' "$raw"
+    }
     allocs_of() { # $1 = benchmark name -> min allocs/op across runs
-        awk -v b="$1" '$1 == b || $1 ~ "^"b"-" { if (min == "" || $7+0 < min) min = $7+0 } END { print (min == "" ? "?" : min) }' "$raw"
+        range_of "$1" allocs/op | sed 's/–.*//'
     }
     {
         echo '# Wire-path allocation accounting'
@@ -158,6 +169,16 @@ case "${1:-}" in
         echo "| single WRITE | 14 | $(allocs_of BenchmarkNetSingleWrite) |"
         echo "| BATCH_READ x32 | 50 | $(allocs_of BenchmarkNetBatchRead32) |"
         echo "| BATCH_WRITE x32 | 18 | $(allocs_of BenchmarkNetBatchWrite32) |"
+        echo
+        echo 'Concurrent callers on one Client (8 x GOMAXPROCS goroutines,'
+        echo 'single-op frames). Client socket writes per op: before ='
+        echo 'one flush per call, measured with these same benches before'
+        echo 'client write coalescing; after = range across runs.'
+        echo
+        echo '| round trip | allocs/op | before (writes/op) | after (writes/op) |'
+        echo '|---|---|---|---|'
+        echo "| parallel READ | $(allocs_of BenchmarkNetParallelRead) | 1.000 | $(range_of BenchmarkNetParallelRead writes/op) |"
+        echo "| parallel WRITE | $(allocs_of BenchmarkNetParallelWrite) | 1.000 | $(range_of BenchmarkNetParallelWrite writes/op) |"
         echo
         echo '```'
         grep -E '^(goos|goarch|pkg|cpu|Benchmark)' "$raw"
